@@ -7,11 +7,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
-
-import numpy as np
 
 from .circle_core import (
     EPS_Q,
@@ -42,6 +40,10 @@ RESIDUAL_TOL = 1e-8
 
 class ResidualTooLarge(GeometryError):
     """A computed solution failed its tangency residual check."""
+
+
+class DegenerateU(GeometryError):
+    """U = 0 on the generic branch, whose closed form divides by U."""
 
 
 class NotTangent(GeometryError):
@@ -79,6 +81,11 @@ class SolutionSet:
     config: ConfigClass
     solutions: tuple[CircleCoeffs, ...]
     family: Optional[Family] = None
+
+    def __post_init__(self):  # a stored result need not keep the summary
+        if self.config.summary is not None:
+            object.__setattr__(self, "config",
+                               replace(self.config, summary=None))
 
 
 @dataclass(frozen=True)
@@ -137,6 +144,8 @@ def solve_three_lines(k1: CircleCoeffs, k2: CircleCoeffs,
 
 def _direct_solutions(ks, s: TripleSummary, root: float, scale: float):
     """Both branches of the division-safe closed form (valid at d4 = 0)."""
+    if s.u == 0.0:
+        raise DegenerateU("U = 0 on the generic branch: no closed form")
     k1, k2, k3 = ks
     sum_a = k1.a * s.v2 + k2.a * s.v3 + k3.a * s.v1
     sum_b = k1.b * s.v2 + k2.b * s.v3 + k3.b * s.v1
@@ -158,7 +167,7 @@ def solve_general(k1: CircleCoeffs, k2: CircleCoeffs, k3: CircleCoeffs,
     sign of the product q1*q2*q3."""
     if config is None:
         config = ConfigClass(tag=ConfigTag.GENERIC)
-    s = triple_summary(k1, k2, k3)
+    s = config.summary or triple_summary(k1, k2, k3)
     scale = coeff_scale(k1, k2, k3)
     prod = s.q1 * s.q2 * s.q3
     # the q's are inversive invariants; scale the zero test by them, not
@@ -179,7 +188,7 @@ def solve_common_point(k1: CircleCoeffs, k2: CircleCoeffs, k3: CircleCoeffs,
     (or none in the V = 0 sub-case)."""
     if config is None:
         config = ConfigClass(tag=ConfigTag.SINGLE_COMMON_POINT)
-    s = triple_summary(k1, k2, k3)
+    s = config.summary or triple_summary(k1, k2, k3)
     scale = coeff_scale(k1, k2, k3)
     maxq = max(1.0, abs(s.q1), abs(s.q2), abs(s.q3))
     if abs(s.v) <= EPS_ZERO * max(1.0, scale) * maxq ** 2:
@@ -216,7 +225,7 @@ def solve_oriented(k1: CircleCoeffs, k2: CircleCoeffs,
         return solve_three_lines(k1, k2, k3)
 
     if config.tag is ConfigTag.PENCIL:
-        s = triple_summary(k1, k2, k3)
+        s = config.summary
         scale = coeff_scale(k1, k2, k3)
         tol_q = zero_tol(scale, 2, EPS_Q)
         if (config.pencil_subtype is PencilType.PARABOLIC
@@ -294,6 +303,7 @@ def _oracle_circles(centers, radii, dedup_tol):
     """Elimination oracle for three proper circles: for each of the 8 sign
     patterns, reduce system (f0-fi)^2+(g0-gi)^2=(r0+si*ri)^2 to an affine
     line in (f0, g0, r0) plus one quadratic."""
+    import numpy as np  # test-side oracle: keep numpy off the import path
     found = []
     for signs in itertools.product((1.0, -1.0), repeat=3):
         rows = []
@@ -341,6 +351,7 @@ def _oracle_circles(centers, radii, dedup_tol):
 
 def _oracle_lines(lines, dedup_tol):
     """Distance oracle for three directed lines: |n_i . c + e_i| = r0."""
+    import numpy as np
     found = []
     for signs in itertools.product((1.0, -1.0), repeat=3):
         a = np.array([[k.b, k.c, -s] for k, s in zip(lines, signs)])

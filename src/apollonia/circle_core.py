@@ -267,11 +267,14 @@ def element_on_circle(k: CircleCoeffs, phi: float) -> CurvatureElement:
 def coincidence_test(k1: CircleCoeffs, k2: CircleCoeffs,
                      tol: float = EPS_COEFF) -> Coincidence:
     """Compare two curves as coefficient quadruples, up to reversal."""
-    scale = max(1.0, *(abs(v) for v in k1.quadruple() + k2.quadruple()))
-    if all(abs(u - v) <= tol * scale
-           for u, v in zip(k1.quadruple(), k2.quadruple())):
+    a1, b1, c1, d1 = k1.a, k1.b, k1.c, k1.d
+    a2, b2, c2, d2 = k2.a, k2.b, k2.c, k2.d
+    t = tol * max(1.0, abs(a1), abs(b1), abs(c1), abs(d1),
+                  abs(a2), abs(b2), abs(c2), abs(d2))
+    if (abs(a1 - a2) <= t and abs(b1 - b2) <= t
+            and abs(c1 - c2) <= t and abs(d1 - d2) <= t):
         return Coincidence.IDENTICAL
-    if all(abs(u + v) <= tol * scale
-           for u, v in zip(k1.quadruple(), k2.quadruple())):
+    if (abs(a1 + a2) <= t and abs(b1 + b2) <= t
+            and abs(c1 + c2) <= t and abs(d1 + d2) <= t):
         return Coincidence.REVERSED_IDENTICAL
     return Coincidence.DISTINCT

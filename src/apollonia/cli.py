@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 no solutions under --strict, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .apollonius import (
@@ -26,7 +27,6 @@ from .scene import (
     ParseError,
     SchemaError,
     emit_json,
-    fmt,
     parse_scene,
     quadruple_doc,
     solution_set_doc,
@@ -38,6 +38,7 @@ EXIT_NO_SOLUTION = 1
 EXIT_INPUT_ERROR = 2
 
 
+@functools.cache  # parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apollonia",
@@ -50,8 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the result document to PATH")
         p.add_argument("--svg", dest="svg_path", metavar="PATH",
                        help="write an SVG rendering to PATH")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the residual reporting tolerance")
         p.add_argument("--strict", action="store_true",
                        help="exit with status 1 when no solutions exist")
 
@@ -65,11 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cos-psi", dest="cos_psi", default="",
                    help="comma-separated list of cos(Psi0) values")
 
-    p = sub.add_parser("invariants", help="triple invariants and class")
-    common(p)
-
-    p = sub.add_parser("descartes", help="Descartes counter-tangent case")
-    common(p)
+    common(sub.add_parser("invariants", help="triple invariants and class"))
+    common(sub.add_parser("descartes", help="Descartes counter-tangent case"))
     return parser
 
 
@@ -113,7 +109,7 @@ def _document(args, scene) -> dict:
         for c0 in values:
             ss = solve_isogonal(k1, k2, k3, IsogonalQuery(c0, Branch.BOTH))
             entry = solution_set_doc(ss, given)
-            entry["cos_psi0"] = fmt(c0)
+            entry["cos_psi0"] = c0
             doc["solution_sets"].append(entry)
             n += len(ss.solutions)
         doc["n_solutions"] = n
@@ -123,7 +119,7 @@ def _document(args, scene) -> dict:
 
     elif args.command == "descartes":
         a_plus, a_minus = descartes_curvatures(k1, k2, k3)
-        doc["curvatures"] = [fmt(a_plus), fmt(a_minus)]
+        doc["curvatures"] = [a_plus, a_minus]
         doc["n_solutions"] = 2
 
     return doc

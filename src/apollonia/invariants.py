@@ -12,7 +12,7 @@ Triples use the cyclic index convention (i, j, k) in {(1,2,3), (2,3,1),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -63,6 +63,8 @@ class ConfigClass:
     pencil_subtype: Optional[PencilType] = None
     coincidence: Optional[Coincidence] = None
     pair: Optional[tuple[int, int]] = None  # 0-based indices of a coincident pair
+    summary: Optional[TripleSummary] = field(  # reused by the branch solvers
+        default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,10 @@ NO_CENTER = object()  # sentinel: radical center undefined (d4 = 0)
 
 def coeff_scale(*circles: CircleCoeffs) -> float:
     """Largest absolute coefficient over the inputs, floored at 1."""
-    return max(1.0, *(abs(v) for k in circles for v in k.quadruple()))
+    scale = 1.0
+    for k in circles:
+        scale = max(scale, abs(k.a), abs(k.b), abs(k.c), abs(k.d))
+    return scale
 
 
 def zero_tol(scale: float, degree: int, eps: float = EPS_ZERO) -> float:
@@ -152,8 +157,7 @@ def pair_exists(k1: float, k2: float, q12: float,
     return PairExistence.YES if expr > 0.0 else PairExistence.NO
 
 
-def _det3(m) -> float:
-    (a, b, c), (d, e, f), (g, h, i) = m
+def _det3(a, b, c, d, e, f, g, h, i) -> float:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
@@ -172,22 +176,19 @@ class Minors:
 
 def minors(k1: CircleCoeffs, k2: CircleCoeffs, k3: CircleCoeffs) -> Minors:
     """All 3x3 determinants of the coefficient matrix and its 1-columns."""
-    ks = (k1, k2, k3)
-    col = lambda f: [f(k) for k in ks]
-    a, b, c, d = (col(lambda k: k.a), col(lambda k: k.b),
-                  col(lambda k: k.c), col(lambda k: k.d))
-    rows = lambda *cols: list(zip(*cols))
-    ones = [1.0, 1.0, 1.0]
+    a1, b1, c1, d1 = k1.a, k1.b, k1.c, k1.d
+    a2, b2, c2, d2 = k2.a, k2.b, k2.c, k2.d
+    a3, b3, c3, d3 = k3.a, k3.b, k3.c, k3.d
     return Minors(
-        d1=-_det3(rows(b, c, d)),
-        d2=-_det3(rows(a, c, d)) / 2.0,
-        d3=+_det3(rows(a, b, d)) / 2.0,
-        d4=_det3(rows(a, b, c)),
-        dbc=_det3(rows(b, c, ones)),
-        dab=_det3(rows(a, b, ones)),
-        dac=_det3(rows(a, c, ones)),
-        dbd=_det3(rows(b, d, ones)),
-        dcd=_det3(rows(c, d, ones)),
+        d1=-_det3(b1, c1, d1, b2, c2, d2, b3, c3, d3),
+        d2=-_det3(a1, c1, d1, a2, c2, d2, a3, c3, d3) / 2.0,
+        d3=+_det3(a1, b1, d1, a2, b2, d2, a3, b3, d3) / 2.0,
+        d4=_det3(a1, b1, c1, a2, b2, c2, a3, b3, c3),
+        dbc=_det3(b1, c1, 1.0, b2, c2, 1.0, b3, c3, 1.0),
+        dab=_det3(a1, b1, 1.0, a2, b2, 1.0, a3, b3, 1.0),
+        dac=_det3(a1, c1, 1.0, a2, c2, 1.0, a3, c3, 1.0),
+        dbd=_det3(b1, d1, 1.0, b2, d2, 1.0, b3, d3, 1.0),
+        dcd=_det3(c1, d1, 1.0, c2, d2, 1.0, c3, d3, 1.0),
     )
 
 
@@ -222,12 +223,9 @@ def triple_summary(k1: CircleCoeffs, k2: CircleCoeffs,
               + a2 * a3 * (q2 - q1 - q3 + 2.0 * q1 * q3)
               + a3 * a1 * (q3 - q2 - q1 + 2.0 * q2 * q1))
 
-    return TripleSummary(q1=q1, q2=q2, q3=q3,
-                         d1=m.d1, d2=m.d2, d3=m.d3, d4=m.d4,
-                         dbc=m.dbc, dab=m.dab, dac=m.dac,
-                         dbd=m.dbd, dcd=m.dcd,
-                         u=u, v=v, w=w, v1=v1, v2=v2, v3=v3,
-                         g=g, p_perp=p_perp)
+    # positional, in field order: cheaper than keywords in this hot call
+    return TripleSummary(q1, q2, q3, m.d1, m.d2, m.d3, m.d4, m.dbc, m.dab,
+                         m.dac, m.dbd, m.dcd, u, v, w, v1, v2, v3, g, p_perp)
 
 
 def radical_axis(k1: CircleCoeffs, k2: CircleCoeffs) -> CircleCoeffs:
@@ -331,13 +329,14 @@ def classify_triple(k1: CircleCoeffs, k2: CircleCoeffs,
             and abs(s.d3) <= zero_tol(scale, 3)
             and abs(s.d4) <= zero_tol(scale, 3)):
         return ConfigClass(tag=ConfigTag.PENCIL,
-                           pencil_subtype=_pencil_subtype(k1, k2, k3))
+                           pencil_subtype=_pencil_subtype(k1, k2, k3),
+                           summary=s)
 
     maxq = max(1.0, abs(s.q1), abs(s.q2), abs(s.q3))
     if abs(s.u) <= EPS_ZERO * maxq ** 3 and abs(s.d4) > zero_tol(scale, 3):
         x = Point(-s.d2 / s.d4, -s.d3 / s.d4)
         pt_scale = max(1.0, abs(x.x), abs(x.y)) ** 2 * scale
         if all(abs(evaluate_n(k, x)) <= EPS_ZERO * pt_scale * 1e3 for k in ks):
-            return ConfigClass(tag=ConfigTag.SINGLE_COMMON_POINT)
+            return ConfigClass(tag=ConfigTag.SINGLE_COMMON_POINT, summary=s)
 
-    return ConfigClass(tag=ConfigTag.GENERIC)
+    return ConfigClass(tag=ConfigTag.GENERIC, summary=s)

@@ -21,6 +21,7 @@ from .circle_core import (
     normalized_coeffs,
 )
 from .apollonius import (
+    DegenerateU,
     Family,
     FamilyKind,
     SolutionSet,
@@ -138,7 +139,7 @@ def solve_isogonal(k1: CircleCoeffs, k2: CircleCoeffs, k3: CircleCoeffs,
                                              (k1, k2)))
         return SolutionSet(config=config, solutions=())
 
-    s = triple_summary(k1, k2, k3)
+    s = config.summary
 
     if config.tag is ConfigTag.SINGLE_COMMON_POINT:
         if abs(c0) <= EPS_ZERO:
@@ -162,6 +163,8 @@ def solve_isogonal(k1: CircleCoeffs, k2: CircleCoeffs, k3: CircleCoeffs,
     tol = EPS_ZERO * max(1.0, abs(s.u), maxq ** 3) * max(1.0, c0 * c0)
     if disc < -tol:
         return SolutionSet(config=config, solutions=())
+    if s.u == 0.0:
+        raise DegenerateU("U = 0 on the generic branch: no closed form")
     root = math.sqrt(max(disc, 0.0))
     sum_a = k1.a * s.v2 + k2.a * s.v3 + k3.a * s.v1
     sum_b = k1.b * s.v2 + k2.b * s.v3 + k3.b * s.v1

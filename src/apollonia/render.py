@@ -1,6 +1,6 @@
 """Deterministic SVG rendering of a result document.
 
-Given circles are stroked thick (dashed when reversed), solutions thin;
+Given circles are stroked thick, solutions thin;
 lines are clipped to the viewport.  Output is byte-stable for identical
 inputs: fixed ordering, fixed precision.
 """
@@ -22,8 +22,6 @@ def _collect_shapes(doc: dict):
     shapes = []
     for quad in doc.get("inputs", []):
         shapes.append((quad, "given"))
-    for quad in doc.get("reversed_inputs", []):
-        shapes.append((quad, "given_reversed"))
     if "distinct_unoriented" in doc:
         for sol in doc["distinct_unoriented"]:
             shapes.append((sol["coeffs"], "solution"))
@@ -92,8 +90,6 @@ def render_svg(doc: dict) -> str:
 
     styles = {
         "given": 'stroke="#222222" stroke-width="3" fill="none"',
-        "given_reversed": ('stroke="#222222" stroke-width="3" fill="none" '
-                           'stroke-dasharray="8 5"'),
         "solution": 'stroke="#c0392b" stroke-width="1" fill="none"',
     }
     body = []

@@ -7,14 +7,14 @@ A scene is a JSON document with exactly three circle specs plus options:
                  {"type": "line", "point": [x, y], "angle": t},
                  {"type": "element", "x": .., "y": .., "tau": .., "k": ..},
                  {"type": "coeffs", "abcd": [a, b, c, d]}],
-     "options": {"cos_psi": [..], "all": false, "tol": .., "strict": false}}
+     "options": {"cos_psi": [..], "all": false, "strict": false}}
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from .circle_core import (
     CircleCoeffs,
@@ -47,14 +47,12 @@ class SchemaError(ValueError):
 class SceneOptions:
     cos_psi: list[float] = field(default_factory=list)
     enumerate_all: bool = False
-    tol: Optional[float] = None
     strict: bool = False
 
 
 @dataclass
 class Scene:
     circles: tuple[CircleCoeffs, CircleCoeffs, CircleCoeffs]
-    raw_specs: list[dict]
     options: SceneOptions
 
 
@@ -87,29 +85,23 @@ def parse_scene(text: str) -> Scene:
         raise SchemaError("options.cos_psi must be a list of numbers")
     options = SceneOptions(cos_psi=[float(v) for v in cos_psi],
                            enumerate_all=bool(opts_doc.get("all", False)),
-                           tol=opts_doc.get("tol"),
                            strict=bool(opts_doc.get("strict", False)))
-    return Scene(circles=tuple(circles), raw_specs=specs, options=options)
-
-
-def fmt(x: float) -> float:
-    """Round-trip-safe float for emission (17 significant digits)."""
-    return float(format(x, ".17g"))
+    return Scene(circles=tuple(circles), options=options)
 
 
 def quadruple_doc(k: CircleCoeffs) -> list[float]:
-    return [fmt(v) for v in k.quadruple()]
+    return list(k.quadruple())
 
 
 def _solution_doc(sol: CircleCoeffs, given) -> dict:
     entry: dict[str, Any] = {
         "coeffs": quadruple_doc(sol),
-        "residual": fmt(tangency_residual(sol, given)),
+        "residual": tangency_residual(sol, given),
     }
     if sol.a != 0.0:
         c = sol.center()
-        entry["center"] = [fmt(c.x), fmt(c.y)]
-        entry["radius"] = fmt(sol.radius)
+        entry["center"] = [c.x, c.y]
+        entry["radius"] = sol.radius
         entry["orientation"] = "ccw" if sol.a > 0 else "cw"
     else:
         entry["line"] = True
@@ -117,7 +109,7 @@ def _solution_doc(sol: CircleCoeffs, given) -> dict:
     for k in given:
         try:
             el = tangency_point(sol, k)
-            points.append({"x": fmt(el.x), "y": fmt(el.y), "tau": fmt(el.tau)})
+            points.append({"x": el.x, "y": el.y, "tau": el.tau})
         except GeometryError:
             points.append(None)
     entry["tangency_points"] = points
@@ -143,14 +135,14 @@ def solution_set_doc(ss: SolutionSet, given) -> dict:
 
 def summary_doc(k1: CircleCoeffs, k2: CircleCoeffs, k3: CircleCoeffs) -> dict:
     s = triple_summary(k1, k2, k3)
-    doc = {name: fmt(getattr(s, name))
+    doc = {name: getattr(s, name)
            for name in ("q1", "q2", "q3", "d1", "d2", "d3", "d4",
                         "dbc", "dab", "dac", "dbd", "dcd",
                         "u", "v", "w", "g", "p_perp")}
     config = classify_triple(k1, k2, k3)
     doc["class"] = config.tag.value
     if abs(s.d4) > zero_tol(coeff_scale(k1, k2, k3), 3):
-        doc["radical_center"] = [fmt(-s.d2 / s.d4), fmt(-s.d3 / s.d4)]
+        doc["radical_center"] = [-s.d2 / s.d4, -s.d3 / s.d4]
     else:
         doc["radical_center"] = None
     sim = similarity(k1, k2, k3)

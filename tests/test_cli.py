@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import apollonia
 from apollonia.cli import run_command
 from apollonia.scene import ParseError, SchemaError, parse_scene
 
@@ -27,6 +32,19 @@ SCENE_DESCARTES = {
         {"type": "circle", "center": [0, 0], "radius": 1},
         {"type": "circle", "center": [3, 0], "radius": 2},
         {"type": "circle", "center": [0, 4], "radius": 3},
+    ]
+}
+
+# U computes to exactly 0, yet the classifier finds no common point: the
+# generic closed form, which divides by U, is undefined
+SCENE_U_ZERO = {
+    "circles": [
+        {"type": "circle", "center": [8.65005662798805, 128.9797175529594],
+         "radius": 551.9726367285646, "orientation": "cw"},
+        {"type": "circle", "center": [394.45640726517064, -836.8261494670755],
+         "radius": 890.6378769179171, "orientation": "ccw"},
+        {"type": "circle", "center": [-806.4406445279399, 486.18062749503423],
+         "radius": 931.6553999447236, "orientation": "ccw"},
     ]
 }
 
@@ -132,6 +150,31 @@ class TestExitCodes:
     def test_unknown_command(self, tmp_path, capsys):
         assert run_command(["frobnicate", "x.json"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("extra", [[], ["--all"]])
+    def test_u_zero_is_an_input_error(self, tmp_path, capsys, extra):
+        path = write_scene(tmp_path, SCENE_U_ZERO)
+        assert run_command(["solve", path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "U = 0" in err
+
+    def test_parser_is_reused_across_commands(self, tmp_path, capsys):
+        path = write_scene(tmp_path, SCENE_8)
+        assert run_command(["solve", path, "--all"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["solution_sets"]) == 4
+        assert run_command(["solve", path]) == 0
+        assert len(json.loads(capsys.readouterr().out)["solution_sets"]) == 1
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(apollonia.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ
+                 else [])))
+    code = "import sys, apollonia.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 class TestDocuments:
